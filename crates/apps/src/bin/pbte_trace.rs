@@ -768,14 +768,10 @@ fn main() {
     };
     let tier = match arg_str(&args, "tier", "") {
         "" => None,
-        "vm" => Some(KernelTier::Vm),
-        "bound" => Some(KernelTier::Bound),
-        "row" => Some(KernelTier::Row),
-        "native" => Some(KernelTier::Native),
-        other => {
-            eprintln!("unknown tier `{other}` (use vm, bound, row or native)");
+        name => Some(name.parse::<KernelTier>().unwrap_or_else(|e| {
+            eprintln!("{e} (use vm, bound, row or native)");
             std::process::exit(2);
-        }
+        })),
     };
 
     let source = if sname.ends_with(".pbte") {

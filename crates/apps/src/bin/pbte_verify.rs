@@ -286,12 +286,6 @@ fn main() {
         ("redundant", TemperatureStrategy::RedundantNewton),
         ("divided", TemperatureStrategy::DividedNewton),
     ];
-    let tiers = [
-        ("vm", KernelTier::Vm),
-        ("bound", KernelTier::Bound),
-        ("row", KernelTier::Row),
-        ("native", KernelTier::Native),
-    ];
     let integrators = [
         ("explicit", Integrator::Explicit),
         ("implicit", Integrator::Implicit { theta: 1.0 }),
@@ -309,7 +303,7 @@ fn main() {
         for (stname, strategy) in strategies {
             let cfg = BteConfig::small(n, 8, 4, steps).with_temperature_strategy(strategy);
             for (tname, target) in targets(ranks) {
-                for (kname, tier) in tiers {
+                for tier in KernelTier::ALL {
                     for (iname, integrator) in integrators {
                         let mut bte = scenario(&cfg);
                         bte.problem.kernel_tier(tier);
@@ -318,7 +312,7 @@ fn main() {
                             sname.to_string(),
                             stname.to_string(),
                             tname.clone(),
-                            kname.to_string(),
+                            tier.name().to_string(),
                             iname.to_string(),
                         ];
                         let mut solver = match bte.problem.build(target.clone()) {
@@ -345,12 +339,12 @@ fn main() {
         };
         let iname = spec.integrator.name();
         for (tname, target) in targets(ranks) {
-            for (kname, tier) in tiers {
+            for tier in KernelTier::ALL {
                 let tags = [
                     format!("pbte:{stem}"),
                     stname.to_string(),
                     tname.clone(),
-                    kname.to_string(),
+                    tier.name().to_string(),
                     iname.to_string(),
                 ];
                 let mut bte = match spec.build() {

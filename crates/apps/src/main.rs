@@ -116,13 +116,10 @@ fn parse_integrator(args: &[String]) -> Integrator {
 }
 
 fn parse_tier(args: &[String]) -> Option<KernelTier> {
-    match args.iter().find_map(|a| a.strip_prefix("tier="))? {
-        "vm" => Some(KernelTier::Vm),
-        "bound" => Some(KernelTier::Bound),
-        "row" => Some(KernelTier::Row),
-        "native" => Some(KernelTier::Native),
-        other => {
-            eprintln!("unknown tier `{other}`; using the plan default");
+    match args.iter().find_map(|a| a.strip_prefix("tier="))?.parse() {
+        Ok(tier) => Some(tier),
+        Err(e) => {
+            eprintln!("{e}; using the plan default");
             None
         }
     }

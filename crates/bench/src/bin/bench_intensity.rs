@@ -1,5 +1,6 @@
 //! Interpreter-vs-compiled-kernel throughput on the fig-4 hot-spot
-//! scenario, recorded to `BENCH_intensity.json` at the repository root.
+//! scenario, recorded to `BENCH_intensity.json` in the working directory
+//! (or to the file named by `out=FILE`).
 //!
 //! Times one full intensity-phase RHS evaluation (source + flux for every
 //! (cell, flat) pair) per tier:
@@ -173,7 +174,9 @@ fn main() {
         speedup,
         native_key
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_intensity.json");
-    std::fs::write(path, json).expect("write BENCH_intensity.json");
+    let path = std::env::args()
+        .find_map(|a| a.strip_prefix("out=").map(str::to_string))
+        .unwrap_or_else(|| "BENCH_intensity.json".into());
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
 }

@@ -1,5 +1,6 @@
 //! Explicit vs implicit vs steady time integration to the fig-4 100 ns
-//! horizon, recorded to `BENCH_timeint.json` at the repository root.
+//! horizon, recorded to `BENCH_timeint.json` in the working directory (or
+//! to the file named by `out=FILE`).
 //!
 //! The scenario is the hot-spot problem shrunk to a sub-micron die
 //! (0.5 µm × 0.5 µm) — the kinetic regime where phonons cross the domain
@@ -337,7 +338,9 @@ fn main() {
         cfg.lx,
         lane_json.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_timeint.json");
-    std::fs::write(path, json).expect("write BENCH_timeint.json");
+    let path = std::env::args()
+        .find_map(|a| a.strip_prefix("out=").map(str::to_string))
+        .unwrap_or_else(|| "BENCH_timeint.json".into());
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
 }

@@ -13,15 +13,18 @@
 use super::{rules, Diagnostic, Severity};
 use crate::exec::{CompiledProblem, ExecTarget};
 use pbte_mesh::partition::{Partition, PartitionMethod};
+use std::sync::Arc;
 
 /// One parallel worker's write footprint over an entity's dof grid: the
-/// cross product of `flats` and `cells`.
+/// cross product of `flats` and `cells`. The index lists are shared, so a
+/// region family whose members all span the whole grid along one axis
+/// builds that list once.
 #[derive(Debug, Clone)]
 pub struct WriteRegion {
     /// Diagnostic label ("thread chunk 3", "rank 1", "device row 7").
     pub label: String,
-    pub flats: Vec<usize>,
-    pub cells: Vec<usize>,
+    pub flats: Arc<[usize]>,
+    pub cells: Arc<[usize]>,
 }
 
 /// Prove a family of write regions pairwise disjoint over an
@@ -38,8 +41,8 @@ pub fn check_disjoint_writes(
     let mut reported: Vec<(u32, u32)> = Vec::new();
     for (i, region) in regions.iter().enumerate() {
         let mut oob = false;
-        for &flat in &region.flats {
-            for &cell in &region.cells {
+        for &flat in region.flats.iter() {
+            for &cell in region.cells.iter() {
                 if flat >= n_flat || cell >= n_cells {
                     if !oob {
                         out.push(Diagnostic {
@@ -102,16 +105,11 @@ pub fn check_divided_slices(entity: &str, n_cells: usize, ranks: usize) -> Vec<D
     let regions: Vec<WriteRegion> = (0..ranks)
         .map(|r| WriteRegion {
             label: format!("divided-Newton rank {r}"),
-            flats: vec![0],
+            flats: Arc::from([0]),
             cells: (n_cells * r / ranks..n_cells * (r + 1) / ranks).collect(),
         })
         .collect();
     check_disjoint_writes(entity, 1, n_cells, &regions)
-}
-
-/// All flats / all cells of the unknown, shared by several targets.
-fn all(n: usize) -> Vec<usize> {
-    (0..n).collect()
 }
 
 /// Prove the write split `target` uses for the unknown disjoint; for
@@ -167,8 +165,8 @@ fn check_krylov_vectors(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec
             // grid (only RHS/JVP sweeps are parallel, never vector ops).
             vec![WriteRegion {
                 label: "local Krylov scope".into(),
-                flats: all(n_flat),
-                cells: all(n_cells),
+                flats: (0..n_flat).collect(),
+                cells: (0..n_cells).collect(),
             }]
         }
         ExecTarget::DistCells { ranks } => {
@@ -176,11 +174,12 @@ fn check_krylov_vectors(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec
                 return;
             }
             let partition = Partition::build(cp.mesh(), *ranks, PartitionMethod::Rcb);
+            let all_flats: Arc<[usize]> = (0..n_flat).collect();
             (0..*ranks)
                 .map(|r| WriteRegion {
                     label: format!("rank {r} Krylov scope (RCB cells)"),
-                    flats: all(n_flat),
-                    cells: partition.cells_of(r),
+                    flats: all_flats.clone(),
+                    cells: partition.cells_of(r).into(),
                 })
                 .collect()
         }
@@ -188,13 +187,14 @@ fn check_krylov_vectors(cp: &CompiledProblem, target: &ExecTarget, out: &mut Vec
             let Some(owned) = super::synth::band_owned_flats(cp, *ranks, index) else {
                 return;
             };
+            let all_cells: Arc<[usize]> = (0..n_cells).collect();
             owned
                 .into_iter()
                 .enumerate()
                 .map(|(r, flats)| WriteRegion {
                     label: format!("rank {r} Krylov scope (bands of `{index}`)"),
-                    flats,
-                    cells: all(n_cells),
+                    flats: flats.into(),
+                    cells: all_cells.clone(),
                 })
                 .collect()
         }

@@ -37,6 +37,7 @@ use crate::exec::{CompiledProblem, ExecTarget};
 use crate::problem::GpuStrategy;
 use pbte_mesh::partition::{partition_bands, Partition, PartitionMethod};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Certificate types
@@ -950,11 +951,6 @@ pub fn band_owned_flats(
     )
 }
 
-/// All flats / all cells of an extent.
-fn all(n: usize) -> Vec<usize> {
-    (0..n).collect()
-}
-
 /// Synthesize the write split `target` uses for the unknown. `None` when
 /// the target configuration is one `build()` rejects before solving
 /// (more ranks than cells, an unpartitionable index).
@@ -964,12 +960,15 @@ pub fn synthesize_partition(
 ) -> Option<SynthesizedPartition> {
     let n_cells = cp.mesh().n_cells();
     let n_flat = cp.n_flat;
+    // Every region spanning a whole axis shares one list for it.
+    let all_flats: Arc<[usize]> = (0..n_flat).collect();
+    let all_cells: Arc<[usize]> = (0..n_cells).collect();
     let (regions, derivation): (Vec<WriteRegion>, String) = match target {
         ExecTarget::CpuSeq => (
             vec![WriteRegion {
                 label: "sequential".into(),
-                flats: all(n_flat),
-                cells: all(n_cells),
+                flats: all_flats,
+                cells: all_cells,
             }],
             "single sequential worker owns the whole dof grid".into(),
         ),
@@ -985,7 +984,7 @@ pub fn synthesize_partition(
                 let end = (start + chunk).min(n_cells);
                 regions.push(WriteRegion {
                     label: format!("thread chunk {ci}"),
-                    flats: all(n_flat),
+                    flats: all_flats.clone(),
                     cells: (start..end).collect(),
                 });
                 start = end;
@@ -1008,8 +1007,8 @@ pub fn synthesize_partition(
                 (0..*ranks)
                     .map(|r| WriteRegion {
                         label: format!("rank {r} (RCB cells)"),
-                        flats: all(n_flat),
-                        cells: partition.cells_of(r),
+                        flats: all_flats.clone(),
+                        cells: partition.cells_of(r).into(),
                     })
                     .collect(),
                 format!("RCB mesh partition over {ranks} ranks"),
@@ -1023,8 +1022,8 @@ pub fn synthesize_partition(
                     .enumerate()
                     .map(|(r, flats)| WriteRegion {
                         label: format!("rank {r} (bands of `{index}`)"),
-                        flats,
-                        cells: all(n_cells),
+                        flats: flats.into(),
+                        cells: all_cells.clone(),
                     })
                     .collect(),
                 format!("band partition of index `{index}` over {ranks} ranks"),
@@ -1036,8 +1035,8 @@ pub fn synthesize_partition(
             (0..n_flat)
                 .map(|flat| WriteRegion {
                     label: format!("device row {flat}"),
-                    flats: vec![flat],
-                    cells: all(n_cells),
+                    flats: Arc::from([flat]),
+                    cells: all_cells.clone(),
                 })
                 .collect(),
             "one device row kernel per flat (launch_rows)".into(),
@@ -1049,8 +1048,8 @@ pub fn synthesize_partition(
                 for flat in flats {
                     regions.push(WriteRegion {
                         label: format!("rank {r} device row {flat}"),
-                        flats: vec![flat],
-                        cells: all(n_cells),
+                        flats: Arc::from([flat]),
+                        cells: all_cells.clone(),
                     });
                 }
             }

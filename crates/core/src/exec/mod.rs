@@ -265,6 +265,16 @@ impl FluxLinearization {
     }
 }
 
+/// Decode a flattened index into its per-slot tuple (row-major `strides`
+/// from [`Registry::strides`](crate::entities::Registry::strides)).
+fn decode_flat(flat: usize, strides: &[usize], idx: &mut [usize]) {
+    let mut rem = flat;
+    for (slot, &s) in idx.iter_mut().zip(strides) {
+        *slot = rem / s;
+        rem %= s;
+    }
+}
+
 /// Attempt the flux linearization. Returns `None` (VM fallback) when the
 /// flux reads mutable variables, function coefficients, or time; when a
 /// conditional branches on the unknown; when the mesh has too many
@@ -621,16 +631,13 @@ impl CompiledProblem {
             .collect();
         let n_flat: usize = idx_lens.iter().product();
         let strides = problem.registry.strides(&slots);
-        let mut idx_of_flat = Vec::with_capacity(n_flat);
-        for flat in 0..n_flat {
-            let mut idx = vec![0usize; slots.len()];
-            let mut rem = flat;
-            for (k, &s) in strides.iter().enumerate() {
-                idx[k] = rem / s;
-                rem %= s;
-            }
-            idx_of_flat.push(idx);
-        }
+        let idx_of_flat: Vec<Vec<usize>> = (0..n_flat)
+            .map(|flat| {
+                let mut idx = vec![0usize; slots.len()];
+                decode_flat(flat, &strides, &mut idx);
+                idx
+            })
+            .collect();
 
         // Resolve boundary conditions: every boundary face needs one.
         let mut region_bc: Vec<Option<BoundaryCondition>> = vec![None; mesh.boundary_regions.len()];
@@ -664,27 +671,23 @@ impl CompiledProblem {
             boundary.push(BoundaryFace { face: fid, bc });
         }
 
-        // Initial conditions.
-        let mut fields = Fields::new(&problem.registry, mesh.n_cells());
+        // Initial conditions, plane by plane: storage is index-major, so
+        // each flat's `n_cells` values are one contiguous slice. Decode the
+        // index tuple once per plane and stream the init over its cells.
+        let n_cells = mesh.n_cells();
+        let mut fields = Fields::new(&problem.registry, n_cells);
         for (var, init) in &problem.initials {
-            let v = *var;
-            let var_slots = problem.registry.variables[v].indices.clone();
-            let var_lens: Vec<usize> = var_slots
-                .iter()
-                .map(|&i| problem.registry.indices[i].len)
-                .collect();
-            let var_strides = problem.registry.strides(&var_slots);
-            let flat_len = fields.flat_len(v);
-            for cell in 0..mesh.n_cells() {
-                let centroid = mesh.cell_centroids[cell];
-                for flat in 0..flat_len {
-                    let mut idx = vec![0usize; var_lens.len()];
-                    let mut rem = flat;
-                    for (k, &s) in var_strides.iter().enumerate() {
-                        idx[k] = rem / s;
-                        rem %= s;
-                    }
-                    fields.set(v, cell, flat, init(centroid, &idx));
+            let var_strides = problem
+                .registry
+                .strides(&problem.registry.variables[*var].indices);
+            let mut idx = vec![0usize; var_strides.len()];
+            let flat_len = fields.flat_len(*var);
+            let data = fields.slice_mut(*var);
+            for flat in 0..flat_len {
+                decode_flat(flat, &var_strides, &mut idx);
+                let plane = &mut data[flat * n_cells..(flat + 1) * n_cells];
+                for (value, &centroid) in plane.iter_mut().zip(&mesh.cell_centroids) {
+                    *value = init(centroid, &idx);
                 }
             }
         }

@@ -385,6 +385,26 @@ impl KernelTier {
             KernelTier::Native => "native",
         }
     }
+
+    /// Every tier, in lowering order.
+    pub const ALL: [KernelTier; 4] = [
+        KernelTier::Vm,
+        KernelTier::Bound,
+        KernelTier::Row,
+        KernelTier::Native,
+    ];
+}
+
+impl std::str::FromStr for KernelTier {
+    type Err = String;
+
+    /// Inverse of [`KernelTier::name`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        KernelTier::ALL
+            .into_iter()
+            .find(|t| t.name() == s)
+            .ok_or_else(|| format!("unknown tier `{s}`"))
+    }
 }
 
 /// Errors from building a problem.
@@ -906,6 +926,14 @@ impl Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kernel_tier_name_round_trips() {
+        for t in KernelTier::ALL {
+            assert_eq!(t.name().parse::<KernelTier>(), Ok(t));
+        }
+        assert!("jit".parse::<KernelTier>().is_err());
+    }
 
     #[test]
     fn builder_registers_entities() {

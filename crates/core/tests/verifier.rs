@@ -140,12 +140,12 @@ fn overlapping_write_split_reports_the_race() {
     let regions = vec![
         WriteRegion {
             label: "thread 0".into(),
-            flats: vec![0, 1],
+            flats: vec![0, 1].into(),
             cells: (0..6).collect(),
         },
         WriteRegion {
             label: "thread 1".into(),
-            flats: vec![0, 1],
+            flats: vec![0, 1].into(),
             cells: (5..10).collect(),
         },
     ];
@@ -167,12 +167,12 @@ fn overlapping_write_split_reports_the_race() {
     let clean = vec![
         WriteRegion {
             label: "thread 0".into(),
-            flats: vec![0, 1],
+            flats: vec![0, 1].into(),
             cells: (0..5).collect(),
         },
         WriteRegion {
             label: "thread 1".into(),
-            flats: vec![0, 1],
+            flats: vec![0, 1].into(),
             cells: (5..10).collect(),
         },
     ];
@@ -322,13 +322,13 @@ fn diagnostics_render_as_json() {
     let regions = vec![
         WriteRegion {
             label: "a".into(),
-            flats: vec![0],
-            cells: vec![0, 1],
+            flats: vec![0].into(),
+            cells: vec![0, 1].into(),
         },
         WriteRegion {
             label: "b".into(),
-            flats: vec![0],
-            cells: vec![1],
+            flats: vec![0].into(),
+            cells: vec![1].into(),
         },
     ];
     let diags = analysis::check_disjoint_writes("I", 1, 2, &regions);
