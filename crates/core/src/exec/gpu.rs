@@ -12,6 +12,14 @@
 //!   combines `u = u_new + u_bdry`, runs the post-step, and sends the
 //!   state back (`u`, `Io`, `beta` move every step — the "substantial
 //!   communication" configuration the paper shows is still profitable).
+//!   The state moves with no host staging copy: uploads read the host
+//!   fields in place and the kernel's compact rows land directly in them
+//!   (`Device::d2h_scatter_rows`). The host combine walks plane by plane
+//!   and evaluates boundary fluxes in the hoisted αβγ form
+//!   ([`super::FluxLinearization`]) the CPU targets use; the straight-line
+//!   conditional form is the device kernel's alone (its VM path and the
+//!   §III-D cost model), so this strategy matches the CPU targets to
+//!   rounding.
 //! * [`GpuStrategy::PrecomputeBoundary`] — the CPU evaluates ghost values,
 //!   ships the (small) ghost array, and the kernel computes the complete
 //!   flux; the unknown stays device-resident between steps. This variant
@@ -168,6 +176,74 @@ pub fn estimate_kernel_cost(cp: &CompiledProblem) -> KernelCost {
     }
 }
 
+/// Host-track `Phase` spans of one [`GpuWorker::step`], in time order
+/// (DESIGN.md §6): pre-step callbacks + ghosts, the H2D staging, the host
+/// execution of the kernel, the async boundary combine (async strategy
+/// only), and the D2H + combine. The post-step callbacks carry their own
+/// `Callback` spans.
+const HOST_PHASES: [&str; 5] = [
+    "gpu_pre_step",
+    "gpu_h2d_stage",
+    "gpu_kernel_host",
+    "gpu_boundary_combine",
+    "gpu_d2h_combine",
+];
+
+/// The async strategy's host half (Fig 6): every boundary face's flux
+/// contribution `-dt·area·f/vol` from the old state, into `out`
+/// (`owned_flats.len() * boundary.len()`, plane-major). Walks plane by
+/// plane — outer over owned flats, inner over boundary faces in slot
+/// order, `u1` from that plane's contiguous row — and evaluates the face
+/// flux in the hoisted αβγ form every CPU target uses, falling back to
+/// the VM only when the flux did not linearize.
+fn boundary_combine(
+    cp: &CompiledProblem,
+    fields: &Fields,
+    owned_flats: &[usize],
+    ghosts: &[f64],
+    time: f64,
+    out: &mut [f64],
+) {
+    let mesh = cp.mesh();
+    let n_cells = fields.n_cells;
+    let n_flat = cp.n_flat;
+    let dt = cp.problem.dt;
+    let n_bdry = cp.boundary.len();
+    let u = fields.slice(cp.system.unknown);
+    let vars = if cp.flux_lin.is_none() {
+        fields.as_slices()
+    } else {
+        Vec::new()
+    };
+    for (k, &flat) in owned_flats.iter().enumerate() {
+        let u_row = &u[flat * n_cells..(flat + 1) * n_cells];
+        let adds = &mut out[k * n_bdry..(k + 1) * n_bdry];
+        for ((slot, bf), add) in cp.boundary.iter().enumerate().zip(adds) {
+            let face = &mesh.faces[bf.face];
+            let cell = face.owner;
+            let u1 = u_row[cell];
+            let u2 = ghosts[slot * n_flat + flat];
+            let f = match &cp.flux_lin {
+                Some(lin) => lin.eval(flat, lin.face_class_pos[bf.face], u1, u2),
+                None => cp.flux.eval(&VmCtx {
+                    vars: &vars,
+                    n_cells,
+                    coefficients: &cp.problem.registry.coefficients,
+                    idx: &cp.idx_of_flat[flat],
+                    cell,
+                    u1,
+                    u2,
+                    normal: [face.normal.x, face.normal.y, face.normal.z],
+                    position: face.centroid,
+                    dt,
+                    time,
+                }),
+            };
+            *add = -dt * (face.area * f) / mesh.cell_volumes[cell];
+        }
+    }
+}
+
 /// A single simulated device executing one rank's share of the problem.
 pub(crate) struct GpuWorker {
     device: Device,
@@ -183,8 +259,10 @@ pub(crate) struct GpuWorker {
     kernel_cost: KernelCost,
     /// Host-side ghost scratch.
     ghosts: Vec<f64>,
-    /// Host-side kernel result scratch.
-    unew_host: Vec<f64>,
+    /// Async strategy's host boundary contribution, `owned_flats.len() *
+    /// boundary.len()`: entry `k * boundary.len() + slot` is what boundary
+    /// face `slot` adds to its owner cell in owned flat `k`.
+    boundary_add: Vec<f64>,
     /// Variables the CPU rewrites each step (H2D per step), from the
     /// synthesized transfer schedule's `EveryStep` H2D set.
     step_h2d_vars: Vec<usize>,
@@ -298,7 +376,10 @@ impl GpuWorker {
             geometry,
             kernel_cost,
             ghosts: vec![0.0; cp.boundary.len() * cp.n_flat],
-            unew_host: vec![0.0; owned_flats.len() * n_cells],
+            boundary_add: match strategy {
+                GpuStrategy::AsyncBoundary => vec![0.0; owned_flats.len() * cp.boundary.len()],
+                GpuStrategy::PrecomputeBoundary => Vec::new(),
+            },
             step_h2d_vars,
             h2d_unknown_each_step,
             h2d_ghosts_each_step,
@@ -327,6 +408,10 @@ impl GpuWorker {
         let dev_t0 = self.device.elapsed();
         let h2d0 = self.device.h2d_bytes();
 
+        // Host-track marks bounding the step's `HOST_PHASES` windows.
+        let mut marks = [0.0; HOST_PHASES.len() + 1];
+        marks[0] = rec.now();
+
         // Host: pre-step callbacks + boundary ghosts from the old state.
         // The device is idle while callbacks run, so the host thread pool
         // (`threads`) is fully available to them.
@@ -352,28 +437,28 @@ impl GpuWorker {
             &mut rec.work,
         );
         let mut t_host = host_t0.elapsed().as_secs_f64();
+        marks[1] = rec.now();
 
-        // H2D per the transfer schedule: CPU-written variables move every
-        // step; under the async strategy the host-combined unknown moves
-        // too (its rows were rewritten at the end of the previous step).
+        // H2D per the transfer schedule, straight from the host state:
+        // CPU-written variables move every step; under the async strategy
+        // the host-combined unknown moves too (its rows were rewritten at
+        // the end of the previous step).
         for &v in &self.step_h2d_vars {
-            let host = fields.slice(v).to_vec();
-            self.device.h2d(&host, &mut self.var_devs[v]);
+            self.device.h2d(fields.slice(v), &mut self.var_devs[v]);
         }
         if self.h2d_unknown_each_step {
-            let host = fields.slice(unknown).to_vec();
             self.device.h2d_rows(
-                &host,
+                fields.slice(unknown),
                 &mut self.var_devs[unknown],
                 n_cells,
                 &self.owned_flats,
             );
         }
         if self.h2d_ghosts_each_step {
-            let ghosts = self.ghosts.clone();
-            self.device.h2d(&ghosts, &mut self.ghost_dev);
+            self.device.h2d(&self.ghosts, &mut self.ghost_dev);
         }
         let t_after_h2d = self.device.elapsed();
+        marks[2] = rec.now();
         let h2d_obs = self.device.h2d_bytes() - h2d0;
 
         // Kernel launch: one thread per owned dof.
@@ -519,6 +604,7 @@ impl GpuWorker {
                 },
             )
         };
+        marks[3] = rec.now();
         rec.work.dof_updates += n_threads as u64;
         // Exact face total per owned flat (every cell's true face count,
         // not a uniform max_faces estimate).
@@ -552,48 +638,28 @@ impl GpuWorker {
 
         // Meanwhile (conceptually overlapped, Fig 6): the CPU computes the
         // boundary contribution from the same old state.
-        let mut boundary_add: Vec<(usize, usize, f64)> = Vec::new();
         if skip_boundary {
             let host_t1 = Instant::now();
-            let mesh = cp.mesh();
-            let vars = fields.as_slices();
-            for bf in &cp.boundary {
-                let face = &mesh.faces[bf.face];
-                let cell = face.owner;
-                let fid = bf.face;
-                for &flat in &self.owned_flats {
-                    let u1 = fields.value(unknown, cell, flat);
-                    let u2 = self.ghosts[cp.bface_slot[fid] * n_flat + flat];
-                    let n = face.normal;
-                    let vm = VmCtx {
-                        vars: &vars,
-                        n_cells,
-                        coefficients,
-                        idx: &cp.idx_of_flat[flat],
-                        cell,
-                        u1,
-                        u2,
-                        normal: [n.x, n.y, n.z],
-                        position: face.centroid,
-                        dt,
-                        time,
-                    };
-                    let flux = face.area * cp.flux.eval(&vm);
-                    boundary_add.push((cell, flat, -dt * flux / mesh.cell_volumes[cell]));
-                }
-            }
+            boundary_combine(
+                cp,
+                fields,
+                &self.owned_flats,
+                &self.ghosts,
+                time,
+                &mut self.boundary_add,
+            );
             t_host += host_t1.elapsed().as_secs_f64();
         } else {
             // Precompute strategy: reconcile the device state — scatter the
             // new rows back into the resident unknown buffer.
-            let (unknown_buf, unew) = {
-                // Split borrows: var_devs[unknown] as destination.
-                let unew = &self.unew_dev;
-                (&mut self.var_devs[unknown], unew)
-            };
-            self.device
-                .scatter_rows(unew, unknown_buf, n_cells, &self.owned_flats);
+            self.device.scatter_rows(
+                &self.unew_dev,
+                &mut self.var_devs[unknown],
+                n_cells,
+                &self.owned_flats,
+            );
         }
+        marks[4] = rec.now();
 
         // D2H: the updated unknown returns to the host. Under the async
         // strategy the download is structural — the host combine *is* the
@@ -605,32 +671,34 @@ impl GpuWorker {
         let d2h0 = self.device.d2h_bytes();
         match self.strategy {
             GpuStrategy::AsyncBoundary => {
-                let mut host = std::mem::take(&mut self.unew_host);
-                self.device.d2h(&self.unew_dev, &mut host);
-                // Combine interior result + boundary contribution.
+                // The kernel's compact rows land in place in the host
+                // state, then the boundary block is added on top, plane by
+                // plane, in slot order.
                 let u = fields.slice_mut(unknown);
+                self.device
+                    .d2h_scatter_rows(&self.unew_dev, u, n_cells, &self.owned_flats);
+                let mesh = cp.mesh();
+                let n_bdry = cp.boundary.len();
                 for (k, &flat) in self.owned_flats.iter().enumerate() {
-                    u[flat * n_cells..(flat + 1) * n_cells]
-                        .copy_from_slice(&host[k * n_cells..(k + 1) * n_cells]);
+                    let row = &mut u[flat * n_cells..(flat + 1) * n_cells];
+                    let adds = &self.boundary_add[k * n_bdry..(k + 1) * n_bdry];
+                    for (bf, add) in cp.boundary.iter().zip(adds) {
+                        row[mesh.faces[bf.face].owner] += add;
+                    }
                 }
-                for (cell, flat, add) in boundary_add {
-                    u[flat * n_cells + cell] += add;
-                }
-                self.unew_host = host;
             }
             GpuStrategy::PrecomputeBoundary => {
                 if self.d2h_unknown_each_step {
-                    let mut host = fields.slice(unknown).to_vec();
                     self.device.d2h_rows(
                         &self.var_devs[unknown],
-                        &mut host,
+                        fields.slice_mut(unknown),
                         n_cells,
                         &self.owned_flats,
                     );
-                    fields.replace(unknown, host);
                 }
             }
         }
+        marks[5] = rec.now();
         let d2h_obs = self.device.d2h_bytes() - d2h0;
         let t_transfer = (t_after_h2d - dev_t0) + (self.device.elapsed() - t_after_h2d - t_kernel);
         if rec.enabled() {
@@ -682,6 +750,31 @@ impl GpuWorker {
         );
         t_host += host_t2.elapsed().as_secs_f64();
 
+        if rec.enabled() {
+            for (i, name) in HOST_PHASES.iter().enumerate() {
+                if *name == "gpu_boundary_combine" && !skip_boundary {
+                    continue;
+                }
+                rec.span(
+                    SpanKind::Phase,
+                    name,
+                    marks[i],
+                    marks[i + 1] - marks[i],
+                    Track::Host,
+                    vec![("step", step.to_string())],
+                );
+            }
+            let end = rec.now();
+            rec.span(
+                SpanKind::Step,
+                "step",
+                marks[0],
+                end - marks[0],
+                Track::Host,
+                vec![("step", step.to_string())],
+            );
+        }
+
         StepTimes {
             kernel: t_kernel,
             transfer: t_transfer,
@@ -698,14 +791,13 @@ impl GpuWorker {
             return;
         }
         let unknown = cp.system.unknown;
-        let mut host = fields.slice(unknown).to_vec();
+        let n_cells = fields.n_cells;
         self.device.d2h_rows(
             &self.var_devs[unknown],
-            &mut host,
-            fields.n_cells,
+            fields.slice_mut(unknown),
+            n_cells,
             &self.owned_flats,
         );
-        fields.replace(unknown, host);
     }
 
     /// Device profile after the run.
@@ -764,7 +856,6 @@ pub(crate) struct GpuImplicitBackend {
     /// read set of the active plan.
     var_devs: Vec<DeviceBuffer>,
     out_dev: DeviceBuffer,
-    out_host: Vec<f64>,
     main: PlanState,
     jvp: PlanState,
 }
@@ -794,7 +885,6 @@ impl GpuImplicitBackend {
             owned_flats: owned_flats.to_vec(),
             var_devs,
             out_dev,
-            out_host: vec![0.0; owned_flats.len() * n_cells],
             main,
             jvp,
         }
@@ -821,7 +911,6 @@ impl super::implicit::ImplicitBackend for GpuImplicitBackend {
             owned_flats,
             var_devs,
             out_dev,
-            out_host,
             main,
             jvp,
         } = self;
@@ -840,11 +929,9 @@ impl super::implicit::ImplicitBackend for GpuImplicitBackend {
         // every sweep (it carries the Krylov direction); coefficient
         // fields move too because callbacks rewrite them between sweeps.
         for &v in &plan.system.read_variables {
-            let host = fields.slice(v).to_vec();
-            device.h2d(&host, &mut var_devs[v]);
+            device.h2d(fields.slice(v), &mut var_devs[v]);
         }
-        let ghosts = ps.ghosts.clone();
-        device.h2d(&ghosts, &mut ps.ghost_dev);
+        device.h2d(&ps.ghosts, &mut ps.ghost_dev);
 
         ps.kernels.ensure(plan, n_cells, time);
         let kernels = &ps.kernels;
@@ -916,13 +1003,9 @@ impl super::implicit::ImplicitBackend for GpuImplicitBackend {
         work.dof_updates += (owned_flats.len() * n_cells) as u64;
         work.flux_evals += owned_flats.len() as u64 * plan.hot.nbr.len() as u64;
 
-        // D2H: scatter the compact row block into the caller's
+        // D2H: the compact row block lands straight in the caller's
         // full-layout output.
-        device.d2h(out_dev, out_host);
-        for (k, &flat) in owned_flats.iter().enumerate() {
-            out[flat * n_cells..(flat + 1) * n_cells]
-                .copy_from_slice(&out_host[k * n_cells..(k + 1) * n_cells]);
-        }
+        device.d2h_scatter_rows(out_dev, out, n_cells, owned_flats);
     }
 }
 

@@ -240,9 +240,11 @@ pub(crate) struct BoundaryFace {
 /// `flux = γ + α·u₁ + β·u₂` with `(α, β, γ)` precomputed per
 /// (flat index, oriented-normal class). This is the kind of
 /// target-specific strategy the paper's IR design anticipates ("different
-/// targets may perform calculations in different ways"); the GPU
-/// generator keeps the straight-line conditional form, whose arithmetic
-/// the device profile in §III-D reflects.
+/// targets may perform calculations in different ways"). The GPU device
+/// kernel alone keeps the straight-line conditional form, whose
+/// arithmetic the device profile in §III-D reflects; the async GPU
+/// strategy's host boundary combine runs on the CPU and uses this αβγ
+/// form too (VM fallback when the flux did not linearize).
 pub struct FluxLinearization {
     /// Number of distinct oriented normals.
     pub n_classes: usize,

@@ -30,6 +30,11 @@ const SY: [f64; 4] = [0.0, 1.0, 0.0, -1.0];
 /// per-band equilibrium `Io` and rate `beta` — exercising exactly the
 /// CPU-callback coupling the paper builds the hybrid codegen around.
 fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
+    build_problem_with_flux(n, steps, stepper, "vg[b]*upwind([Sx[d];Sy[d]], I[d,b])")
+}
+
+/// The mini-BTE problem with `flux` as the surface integrand.
+fn build_problem_with_flux(n: usize, steps: usize, stepper: TimeStepper, flux: &str) -> Problem {
     let mut p = Problem::new("mini-bte");
     p.domain(2);
     p.mesh(UniformGrid::new_2d(n, n, 1.0, 1.0).build());
@@ -131,13 +136,17 @@ fn build_problem(n: usize, steps: usize, stepper: TimeStepper) -> Problem {
 
     p.conservation_form(
         i_var,
-        "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
+        &format!("(Io[b] - I[d,b]) * beta[b] + surface({flux})"),
     );
     p
 }
 
 fn run(target: ExecTarget, n: usize, steps: usize, stepper: TimeStepper) -> Fields {
-    let mut solver = build_problem(n, steps, stepper).build(target).unwrap();
+    solve(build_problem(n, steps, stepper), target)
+}
+
+fn solve(problem: Problem, target: ExecTarget) -> Fields {
+    let mut solver = problem.build(target).unwrap();
     solver.solve().unwrap();
     solver.fields().clone()
 }
@@ -301,6 +310,64 @@ fn multi_gpu_band_distribution_agrees() {
     for v in 0..seq.n_vars() {
         let d = max_abs_diff(&seq, &gpu, v);
         assert!(d < 1e-12, "dist-bands-gpu variable {v}: {d}");
+    }
+}
+
+#[test]
+fn bands_gpu_async_matches_to_rounding() {
+    // Each rank's device owns one band's flats only, so the async combine's
+    // compact-row → host-row mapping is not the identity here.
+    let seq = run(ExecTarget::CpuSeq, 5, 4, TimeStepper::EulerExplicit);
+    let gpu = run(
+        ExecTarget::DistBandsGpu {
+            ranks: 3,
+            index: "b".into(),
+            spec: DeviceSpec::a100(),
+            strategy: GpuStrategy::AsyncBoundary,
+        },
+        5,
+        4,
+        TimeStepper::EulerExplicit,
+    );
+    for v in 0..seq.n_vars() {
+        let d = max_abs_diff(&seq, &gpu, v);
+        assert!(d < 1e-12, "dist-bands-gpu async variable {v}: {d}");
+    }
+}
+
+#[test]
+fn gpu_async_combine_without_flux_linearization() {
+    // A flux reading a function coefficient does not linearize, so the
+    // async host combine takes its VM fallback.
+    let problem = || {
+        let mut p = build_problem_with_flux(
+            6,
+            5,
+            TimeStepper::EulerExplicit,
+            "w*vg[b]*upwind([Sx[d];Sy[d]], I[d,b])",
+        );
+        p.coefficient_fn("w", |pt, _| 1.0 + 0.3 * pt.x + 0.2 * pt.y);
+        p
+    };
+    let solver = problem().build(ExecTarget::CpuSeq).unwrap();
+    assert!(
+        solver.compiled.flux_lin.is_none(),
+        "a function-coefficient flux must not linearize"
+    );
+    let seq = solve(problem(), ExecTarget::CpuSeq);
+    let gpu = solve(
+        problem(),
+        ExecTarget::GpuHybrid {
+            spec: DeviceSpec::a6000(),
+            strategy: GpuStrategy::AsyncBoundary,
+        },
+    );
+    for v in 0..seq.n_vars() {
+        let d = max_abs_diff(&seq, &gpu, v);
+        assert!(
+            d < 1e-12,
+            "gpu-async (VM combine) variable {v} differs by {d}"
+        );
     }
 }
 

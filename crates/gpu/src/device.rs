@@ -157,6 +157,33 @@ impl Device {
         self.elapsed += t;
     }
 
+    /// Device → host copy of `src`'s compact rows into `host` rows
+    /// (`src` row `k` → `host` row `rows[k]`) — the host-side twin of
+    /// [`Device::scatter_rows`]. One transfer of `src.bytes()`, priced and
+    /// recorded exactly like [`Device::d2h`] of the same buffer; host rows
+    /// outside `rows` are left untouched.
+    pub fn d2h_scatter_rows(
+        &mut self,
+        src: &DeviceBuffer,
+        host: &mut [f64],
+        row_len: usize,
+        rows: &[usize],
+    ) {
+        assert_eq!(
+            src.len(),
+            rows.len() * row_len,
+            "d2h_scatter_rows size mismatch for {}",
+            src.label
+        );
+        for (k, &r) in rows.iter().enumerate() {
+            let d = r * row_len;
+            host[d..d + row_len].copy_from_slice(&src.slice()[k * row_len..(k + 1) * row_len]);
+        }
+        let t = self.spec.transfer_time(src.bytes());
+        self.elapsed += t;
+        self.profiler.record_transfer(src.bytes(), t, false);
+    }
+
     /// Device → host copy.
     pub fn d2h(&mut self, buf: &DeviceBuffer, host: &mut [f64]) {
         assert_eq!(host.len(), buf.len(), "d2h size mismatch for {}", buf.label);
@@ -430,6 +457,71 @@ mod tests {
         assert_eq!(dev.allocated_bytes(), 8000);
         dev.free(b);
         assert_eq!(dev.allocated_bytes(), 0);
+    }
+
+    /// A 3-row compact device buffer (row `k` holds `10k + i`) aimed at
+    /// host rows 4, 1 and 2 of a 6-row host array.
+    fn compact_rows(dev: &mut Device) -> (DeviceBuffer, [usize; 3]) {
+        let mut src = dev.alloc("compact", 3 * 4);
+        let host: Vec<f64> = (0..3)
+            .flat_map(|k| (0..4).map(move |i| (10 * k + i) as f64))
+            .collect();
+        dev.h2d(&host, &mut src);
+        (src, [4, 1, 2])
+    }
+
+    #[test]
+    fn d2h_scatter_rows_lands_rows_and_leaves_the_rest() {
+        let mut dev = device();
+        let (src, rows) = compact_rows(&mut dev);
+        let mut host = vec![-1.0; 6 * 4];
+        dev.d2h_scatter_rows(&src, &mut host, 4, &rows);
+        for (k, &r) in rows.iter().enumerate() {
+            let expect: Vec<f64> = (0..4).map(|i| (10 * k + i) as f64).collect();
+            assert_eq!(host[r * 4..(r + 1) * 4], expect[..], "row {r}");
+        }
+        for r in [0, 3, 5] {
+            assert!(host[r * 4..(r + 1) * 4].iter().all(|&x| x == -1.0));
+        }
+    }
+
+    #[test]
+    fn d2h_scatter_rows_is_priced_and_recorded_like_d2h() {
+        // Two devices in the same state: one scatters, the other runs a
+        // plain d2h of the same buffer.
+        let mut dev = device();
+        let (src, rows) = compact_rows(&mut dev);
+        let mut twin = device();
+        let (twin_src, _) = compact_rows(&mut twin);
+        let before = dev.profile().d2h;
+        let t0 = dev.elapsed();
+
+        let mut host = vec![0.0; 6 * 4];
+        dev.d2h_scatter_rows(&src, &mut host, 4, &rows);
+        let after = dev.profile().d2h;
+        assert_eq!(after.count, before.count + 1, "exactly one D2H record");
+        assert_eq!(after.bytes - before.bytes, src.bytes() as u64);
+        let expect = dev.spec.transfer_time(src.bytes());
+        assert!((dev.elapsed() - t0 - expect).abs() <= 1e-12 * expect);
+
+        let mut flat = vec![0.0; twin_src.len()];
+        twin.d2h(&twin_src, &mut flat);
+        assert_eq!(dev.elapsed(), twin.elapsed(), "same clock charge as d2h");
+        let twin_d2h = twin.profile().d2h;
+        assert_eq!(
+            (after.count, after.bytes, after.sim_time),
+            (twin_d2h.count, twin_d2h.bytes, twin_d2h.sim_time),
+            "same profiler record as d2h"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "d2h_scatter_rows size mismatch")]
+    fn d2h_scatter_rows_rejects_a_size_mismatch() {
+        let mut dev = device();
+        let (src, _) = compact_rows(&mut dev);
+        let mut host = vec![0.0; 6 * 4];
+        dev.d2h_scatter_rows(&src, &mut host, 4, &[0, 1]);
     }
 
     #[test]
