@@ -10,21 +10,24 @@
 //!   cell, where `r` reflects the direction across the wall normal.
 
 use crate::material::Material;
-use pbte_dsl::problem::{BoundaryCondition, BoundaryQuery};
+use pbte_dsl::problem::{BoundaryCondition, FaceQuery};
 use pbte_mesh::Point;
 use std::sync::Arc;
 
 /// Isothermal wall with a (possibly position-dependent) temperature.
 /// Declared as reading no fields — the ghost depends only on the wall
 /// temperature and the band, so the static plan verifier knows it imposes
-/// no host-side transfer obligations.
+/// no host-side transfer obligations. Face-batched: the wall temperature
+/// is evaluated, and located in the equilibrium table, once per face.
 pub fn isothermal(
     material: Arc<Material>,
     wall_temperature: impl Fn(Point) -> f64 + Send + Sync + 'static,
 ) -> BoundaryCondition {
-    BoundaryCondition::callback_reading(&[], move |q: &BoundaryQuery| {
-        let b = q.idx[1];
-        material.table.io(b, wall_temperature(q.position))
+    BoundaryCondition::face_callback_reading(&[], move |q: &FaceQuery, out: &mut [f64]| {
+        let io = material.table.io_at(wall_temperature(q.position));
+        for &flat in q.flats {
+            out[flat] = io(q.idx_of_flat[flat][1]);
+        }
     })
 }
 
@@ -47,17 +50,30 @@ pub fn gaussian_wall(
 /// interior intensity of the reflected direction. Declares its read of
 /// the intensity `I`, which the transfer verifier turns into the proof
 /// obligation that the unknown returns to the host every step.
+/// Face-batched: `I` is resolved once per face and each direction is
+/// reflected across the face normal once, however many bands share it.
 pub fn symmetry(material: Arc<Material>) -> BoundaryCondition {
-    BoundaryCondition::callback_reading(&["I"], move |q: &BoundaryQuery| {
-        let d = q.idx[0];
-        let b = q.idx[1];
-        let r = material.angles.reflect(d, q.normal);
+    BoundaryCondition::face_callback_reading(&["I"], move |q: &FaceQuery, out: &mut [f64]| {
         let i_var = q
             .fields
             .var_id("I")
             .expect("the BTE unknown is registered as `I`");
         let n_bands = material.n_bands();
-        q.fields.value(i_var, q.owner_cell, r * n_bands + b)
+        // Flats run direction-major, so keeping the last reflection
+        // reflects each direction once per face.
+        let mut last: Option<(usize, usize)> = None;
+        for &flat in q.flats {
+            let (d, b) = (q.idx_of_flat[flat][0], q.idx_of_flat[flat][1]);
+            let r = match last {
+                Some((ld, r)) if ld == d => r,
+                _ => {
+                    let r = material.angles.reflect(d, q.normal);
+                    last = Some((d, r));
+                    r
+                }
+            };
+            out[flat] = q.fields.value(i_var, q.owner_cell, r * n_bands + b);
+        }
     })
 }
 
@@ -65,6 +81,7 @@ pub fn symmetry(material: Arc<Material>) -> BoundaryCondition {
 mod tests {
     use super::*;
     use crate::material::Material;
+    use pbte_dsl::problem::BoundaryQuery;
 
     #[test]
     fn gaussian_profile_shape() {

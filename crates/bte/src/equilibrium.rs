@@ -139,10 +139,19 @@ impl EquilibriumTable {
     /// Interpolated `I⁰_b(T)`.
     #[inline]
     pub fn io(&self, band: usize, t: f64) -> f64 {
+        self.io_at(t)(band)
+    }
+
+    /// Interpolated `I⁰_b(T)` of any band at one temperature `t`: the
+    /// table row is located once, each call is [`Self::io`] for its band.
+    #[inline]
+    pub fn io_at(&self, t: f64) -> impl Fn(usize) -> f64 + '_ {
         let (i, frac) = self.locate(t);
-        let a = self.io[i * self.n_bands + band];
-        let b = self.io[(i + 1) * self.n_bands + band];
-        a + frac * (b - a)
+        move |band| {
+            let a = self.io[i * self.n_bands + band];
+            let b = self.io[(i + 1) * self.n_bands + band];
+            a + frac * (b - a)
+        }
     }
 
     /// Interpolated `dI⁰_b/dT`.

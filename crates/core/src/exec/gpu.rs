@@ -177,10 +177,11 @@ pub fn estimate_kernel_cost(cp: &CompiledProblem) -> KernelCost {
 }
 
 /// Host-track `Phase` spans of one [`GpuWorker::step`], in time order
-/// (DESIGN.md §6): pre-step callbacks + ghosts, the H2D staging, the host
-/// execution of the kernel, the async boundary combine (async strategy
-/// only), and the D2H + combine. The post-step callbacks carry their own
-/// `Callback` spans.
+/// (DESIGN.md §6): pre-step callbacks + ghosts (the fill in a nested
+/// `boundary_ghosts` span), the H2D staging, the host execution of the
+/// kernel, the async boundary combine (async strategy only), and the
+/// D2H + combine. The post-step callbacks carry their own `Callback`
+/// spans.
 const HOST_PHASES: [&str; 5] = [
     "gpu_pre_step",
     "gpu_h2d_stage",
@@ -428,14 +429,9 @@ impl GpuWorker {
             threads,
             rec,
         );
-        seq::compute_ghosts(
-            cp,
-            fields,
-            &self.owned_flats,
-            time,
-            &mut self.ghosts,
-            &mut rec.work,
-        );
+        seq::traced_ghosts(rec, step, |work| {
+            seq::compute_ghosts(cp, fields, &self.owned_flats, time, &mut self.ghosts, work)
+        });
         let mut t_host = host_t0.elapsed().as_secs_f64();
         marks[1] = rec.now();
 

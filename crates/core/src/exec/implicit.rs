@@ -122,7 +122,7 @@ impl ImplicitBackend for CpuBackend<'_> {
             Plan::Jvp => (&mut self.jkernels, &mut self.jghosts, self.jcallback_faces),
         };
         if self.parallel {
-            par::compute_ghosts_par(plan, fields, time, ghosts, cb_faces, work);
+            par::compute_ghosts_par(plan, fields, self.flats, time, ghosts, cb_faces, work);
             par::compute_rhs_par(plan, fields, ghosts, time, out, work, kernels);
         } else {
             seq::compute_ghosts(plan, fields, self.flats, time, ghosts, work);

@@ -410,7 +410,7 @@ fn linearized_problem(problem: &Problem) -> Result<Problem, DslError> {
     for (_, region, bc) in jp.boundary_conditions.iter_mut() {
         let linearized = match bc {
             BoundaryCondition::Value(_) => BoundaryCondition::Value(0.0),
-            BoundaryCondition::DeclaredCallback { reads, .. } => {
+            BoundaryCondition::FaceCallback { reads, .. } => {
                 if reads.iter().any(|r| r == &unknown_name) {
                     continue; // linear homogeneous in the unknown: keep
                 }

@@ -13,43 +13,34 @@ use super::rows::{self, FluxBoundary, IntensityKernels};
 use super::seq;
 use super::{phases, CompiledProblem, SolveReport, WorkCounters};
 use crate::entities::Fields;
-use crate::problem::{BoundaryQuery, DslError, KernelTier, LocalReducer, TimeStepper};
+use crate::problem::{DslError, KernelTier, LocalReducer, TimeStepper};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// Parallel ghost computation: one task per boundary face.
-/// `callback_faces` is hoisted by the caller (`seq::callback_face_count`)
-/// so the per-call accounting is a single add, shared with the sequential
-/// path's counting rule.
+/// Parallel ghost computation: one task per boundary face, each filling
+/// that face's ghost column at `flats` (the threaded target passes every
+/// flat). `callback_faces` is hoisted by the caller
+/// (`seq::callback_face_count`) so the per-call accounting is a single
+/// add, shared with the sequential path's counting rule.
 pub(crate) fn compute_ghosts_par(
     cp: &CompiledProblem,
     fields: &Fields,
+    flats: &[usize],
     time: f64,
     ghosts: &mut [f64],
     callback_faces: usize,
     work: &mut WorkCounters,
 ) {
-    let mesh = cp.mesh();
-    let n_flat = cp.n_flat;
     ghosts
-        .par_chunks_mut(n_flat)
+        .par_chunks_mut(cp.n_flat)
         .enumerate()
-        .for_each(|(slot, chunk)| {
+        .for_each(|(slot, column)| {
             let bf = &cp.boundary[slot];
-            let face = &mesh.faces[bf.face];
-            for (flat, out) in chunk.iter_mut().enumerate() {
-                *out = bf.bc.ghost_value(&BoundaryQuery {
-                    position: face.centroid,
-                    normal: face.normal,
-                    owner_cell: face.owner,
-                    idx: &cp.idx_of_flat[flat],
-                    time,
-                    fields,
-                });
-            }
+            bf.bc
+                .fill_face(&seq::face_query(cp, bf, flats, time, fields), column);
         });
-    work.ghost_evals += (callback_faces * n_flat) as u64;
+    work.ghost_evals += (callback_faces * flats.len()) as u64;
 }
 
 /// Parallel RHS: the flat dimension maps to tasks (one contiguous block
@@ -269,7 +260,17 @@ pub fn solve(
         let t1 = Instant::now();
         match cp.problem.stepper {
             TimeStepper::EulerExplicit => {
-                compute_ghosts_par(cp, fields, time, &mut ghosts, callback_faces, &mut r.work);
+                seq::traced_ghosts(&mut r, step, |work| {
+                    compute_ghosts_par(
+                        cp,
+                        fields,
+                        &all_flats,
+                        time,
+                        &mut ghosts,
+                        callback_faces,
+                        work,
+                    )
+                });
                 compute_rhs_par_traced(
                     cp,
                     fields,
@@ -283,7 +284,17 @@ pub fn solve(
                 axpy_par(fields, unknown, dt, &rhs);
             }
             TimeStepper::Rk2 => {
-                compute_ghosts_par(cp, fields, time, &mut ghosts, callback_faces, &mut r.work);
+                seq::traced_ghosts(&mut r, step, |work| {
+                    compute_ghosts_par(
+                        cp,
+                        fields,
+                        &all_flats,
+                        time,
+                        &mut ghosts,
+                        callback_faces,
+                        work,
+                    )
+                });
                 compute_rhs_par_traced(
                     cp,
                     fields,
@@ -295,14 +306,17 @@ pub fn solve(
                     &mut kernels,
                 );
                 axpy_par(fields, unknown, dt, &rhs);
-                compute_ghosts_par(
-                    cp,
-                    fields,
-                    time + dt,
-                    &mut ghosts,
-                    callback_faces,
-                    &mut r.work,
-                );
+                seq::traced_ghosts(&mut r, step, |work| {
+                    compute_ghosts_par(
+                        cp,
+                        fields,
+                        &all_flats,
+                        time + dt,
+                        &mut ghosts,
+                        callback_faces,
+                        work,
+                    )
+                });
                 compute_rhs_par_traced(
                     cp,
                     fields,

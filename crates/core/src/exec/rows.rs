@@ -224,7 +224,9 @@ pub(crate) fn spans(cells: &[usize]) -> impl Iterator<Item = (usize, usize)> + '
 ///
 /// The flux loop replicates `seq::flux_sum_dof`'s linearized fast path
 /// exactly (same face order, same operations) so results are bit-identical
-/// to the per-DOF tiers.
+/// to the per-DOF tiers. The boundary mode and the fused step are
+/// resolved once per span into a const-generic body, so the face loop
+/// carries neither a mode `match` nor an `Option`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn flux_combine(
     cp: &CompiledProblem,
@@ -235,35 +237,74 @@ pub(crate) fn flux_combine(
     out: &mut [f64],
     fused_dt: Option<f64>,
 ) {
-    let hot = &cp.hot;
+    match (boundary, fused_dt) {
+        (FluxBoundary::Ghosts(g), Some(dt)) => {
+            combine_span::<true, true>(cp, u_row, flat, g, cell0, out, dt)
+        }
+        (FluxBoundary::Ghosts(g), None) => {
+            combine_span::<true, false>(cp, u_row, flat, g, cell0, out, 0.0)
+        }
+        (FluxBoundary::Skip, Some(dt)) => {
+            combine_span::<false, true>(cp, u_row, flat, &[], cell0, out, dt)
+        }
+        (FluxBoundary::Skip, None) => {
+            combine_span::<false, false>(cp, u_row, flat, &[], cell0, out, 0.0)
+        }
+    }
+}
+
+/// One body per `(GHOSTS, FUSED)` mode of [`flux_combine`]. The flat's
+/// α/β/γ rows and the span's slices of the geometry and the unknown are
+/// taken once; each cell then slices its own CSR range of `nbr`, `area`
+/// and `class`, so the face loop indexes only those short slices (plus
+/// the neighbour's value and, for boundary faces, the ghost column).
+/// Operations and their order are `flux_sum += area·(γ + α·u1 + β·u2)`
+/// in CSR order, then `src − Σ·invV`, then `u + dt·rhs`.
+#[inline(always)]
+fn combine_span<const GHOSTS: bool, const FUSED: bool>(
+    cp: &CompiledProblem,
+    u_row: &[f64],
+    flat: usize,
+    ghosts: &[f64],
+    cell0: usize,
+    out: &mut [f64],
+    dt: f64,
+) {
+    let (hot, n_flat) = (&cp.hot, cp.n_flat);
     let lin = cp
         .flux_lin
         .as_ref()
         .expect("row tier requires a linearized flux");
-    let n_flat = cp.n_flat;
+    let row = flat * lin.n_classes..(flat + 1) * lin.n_classes;
+    let (alpha, beta, gamma) = (
+        &lin.alpha[row.clone()],
+        &lin.beta[row.clone()],
+        &lin.gamma[row],
+    );
+    let cells = cell0..cell0 + out.len();
+    let offsets = &hot.offsets[cells.start..=cells.end];
+    let inv_volume = &hot.inv_volume[cells.clone()];
+    let u = &u_row[cells];
     for (i, o) in out.iter_mut().enumerate() {
-        let cell = cell0 + i;
-        let u_here = u_row[cell];
-        let start = hot.offsets[cell] as usize;
-        let end = hot.offsets[cell + 1] as usize;
+        let u_here = u[i];
+        let faces = offsets[i] as usize..offsets[i + 1] as usize;
+        let nbr = &hot.nbr[faces.clone()];
+        let area = &hot.area[faces.clone()];
+        let class = &hot.class[faces];
         let mut flux_sum = 0.0;
-        for k in start..end {
-            let nb = hot.nbr[k];
+        for ((&nb, &a), &c) in nbr.iter().zip(area).zip(class) {
             let u2 = if nb >= 0 {
                 u_row[nb as usize]
+            } else if GHOSTS {
+                ghosts[(-(nb + 1)) as usize * n_flat + flat]
             } else {
-                match boundary {
-                    FluxBoundary::Ghosts(g) => g[(-(nb + 1)) as usize * n_flat + flat],
-                    FluxBoundary::Skip => continue,
-                }
+                continue;
             };
-            flux_sum += hot.area[k] * lin.eval(flat, hot.class[k], u_here, u2);
+            let c = c as usize;
+            flux_sum += a * (gamma[c] + alpha[c] * u_here + beta[c] * u2);
         }
-        let rhs = *o - flux_sum * hot.inv_volume[cell];
-        *o = match fused_dt {
-            Some(dt) => u_here + dt * rhs,
-            None => rhs,
-        };
+        let rhs = *o - flux_sum * inv_volume[i];
+        *o = if FUSED { u_here + dt * rhs } else { rhs };
     }
 }
 
@@ -337,7 +378,127 @@ pub(crate) fn rhs_span_native(
 
 #[cfg(test)]
 mod tests {
-    use super::spans;
+    use super::{flux_combine, spans, FluxBoundary};
+    use crate::exec::CompiledProblem;
+    use crate::problem::{BoundaryCondition, Problem};
+    use pbte_mesh::grid::UniformGrid;
+
+    /// A 5×4 grid with four axis directions and two bands: eight flats,
+    /// several oriented-normal classes, boundary faces on every side.
+    fn compiled() -> CompiledProblem {
+        let mut p = Problem::new("rows-modes");
+        p.domain(2);
+        p.mesh(UniformGrid::new_2d(5, 4, 1.0, 0.8).build());
+        p.set_steps(1e-3, 1);
+        let d = p.index("d", 4);
+        let b = p.index("b", 2);
+        let i = p.variable("I", &[d, b]);
+        let _ = p.variable("Io", &[b]);
+        let _ = p.variable("beta", &[b]);
+        p.coefficient_array("Sx", &[d], vec![1.0, -1.0, 0.0, 0.0]);
+        p.coefficient_array("Sy", &[d], vec![0.0, 0.0, 1.0, -1.0]);
+        p.coefficient_array("vg", &[b], vec![1.3, 0.7]);
+        for region in ["left", "right", "top", "bottom"] {
+            p.boundary(i, region, BoundaryCondition::Value(0.0));
+        }
+        p.conservation_form(
+            i,
+            "(Io[b] - I[d,b]) * beta[b] + surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))",
+        );
+        CompiledProblem::compile(p).expect("compiles").0
+    }
+
+    /// Deterministic values in roughly [-1, 1).
+    fn noise(n: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
+
+    /// Per-cell reference over the mesh's own face lists (not the CSR
+    /// tables): `Σ area·f(u, u_nbr)` with ghosts, or skipping boundary
+    /// faces, then `src − Σ/V`, then optionally `u + dt·rhs`.
+    fn reference(
+        cp: &CompiledProblem,
+        u_row: &[f64],
+        flat: usize,
+        ghosts: Option<&[f64]>,
+        cell: usize,
+        src: f64,
+        fused_dt: Option<f64>,
+    ) -> f64 {
+        let mesh = cp.mesh();
+        let lin = cp.flux_lin.as_ref().expect("linearized");
+        let u = u_row[cell];
+        let mut sum = 0.0;
+        for &fid in mesh.cell_faces(cell) {
+            let face = &mesh.faces[fid];
+            let u2 = match (face.other_cell(cell), ghosts) {
+                (Some(nb), _) => u_row[nb],
+                (None, Some(g)) => g[cp.bface_slot[fid] * cp.n_flat + flat],
+                (None, None) => continue,
+            };
+            let class = if face.owner == cell {
+                lin.face_class_pos[fid]
+            } else {
+                lin.face_class_neg[fid]
+            };
+            sum += face.area * lin.eval(flat, class, u, u2);
+        }
+        let rhs = src - sum * (1.0 / mesh.cell_volumes[cell]);
+        match fused_dt {
+            Some(dt) => u + dt * rhs,
+            None => rhs,
+        }
+    }
+
+    #[test]
+    fn flux_combine_modes_match_per_cell_reference() {
+        let cp = compiled();
+        assert!(cp.flux_lin.as_ref().is_some_and(|l| l.n_classes > 1));
+        let n_cells = cp.mesh().n_cells();
+        let u = noise(cp.n_flat * n_cells, 1);
+        let ghosts = noise(cp.boundary.len() * cp.n_flat, 2);
+        let src = noise(n_cells, 3);
+        let dt = 0.37;
+        // The whole range, an interior sub-span with `cell0 > 0` (the
+        // shape of a distributed RCB span) and the last cell alone.
+        let spans = [(0, n_cells), (3, 9), (n_cells - 1, 1)];
+        for flat in 0..cp.n_flat {
+            let u_row = &u[flat * n_cells..(flat + 1) * n_cells];
+            for (cell0, len) in spans {
+                for ghosts_mode in [Some(&ghosts[..]), None] {
+                    for fused_dt in [Some(dt), None] {
+                        let boundary = match ghosts_mode {
+                            Some(g) => FluxBoundary::Ghosts(g),
+                            None => FluxBoundary::Skip,
+                        };
+                        let mut out = src[cell0..cell0 + len].to_vec();
+                        flux_combine(&cp, u_row, flat, boundary, cell0, &mut out, fused_dt);
+                        for (i, got) in out.iter().enumerate() {
+                            let cell = cell0 + i;
+                            let want =
+                                reference(&cp, u_row, flat, ghosts_mode, cell, src[cell], fused_dt);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "flat {flat} cell {cell} span ({cell0}, {len}) \
+                                 ghosts {} fused {}",
+                                ghosts_mode.is_some(),
+                                fused_dt.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn spans_merges_contiguous_runs() {

@@ -20,10 +20,10 @@
 //! GPU targets compose.
 
 use super::rows::{self, FluxBoundary, IntensityKernels};
-use super::{phases, CompiledProblem, SolveReport, WorkCounters};
+use super::{phases, BoundaryFace, CompiledProblem, SolveReport, WorkCounters};
 use crate::bytecode::VmCtx;
 use crate::entities::Fields;
-use crate::problem::{BoundaryQuery, DslError, KernelTier, Reducer, StepContext, TimeStepper};
+use crate::problem::{DslError, FaceQuery, KernelTier, Reducer, StepContext, TimeStepper};
 use pbte_runtime::telemetry::{Recorder, SpanKind, Track};
 use std::time::Instant;
 
@@ -44,8 +44,29 @@ pub(crate) fn callback_face_count(cp: &CompiledProblem) -> usize {
     cp.catalog.callback_faces
 }
 
-/// Evaluate boundary callbacks for every owned flat on every boundary face,
-/// writing ghosts at `[bface_slot * n_flat + flat]`.
+/// The [`FaceQuery`] of one boundary face over `flats`.
+pub(crate) fn face_query<'a>(
+    cp: &'a CompiledProblem,
+    bf: &BoundaryFace,
+    flats: &'a [usize],
+    time: f64,
+    fields: &'a Fields,
+) -> FaceQuery<'a> {
+    let face = &cp.mesh().faces[bf.face];
+    FaceQuery {
+        position: face.centroid,
+        normal: face.normal,
+        owner_cell: face.owner,
+        flats,
+        idx_of_flat: &cp.idx_of_flat,
+        time,
+        fields,
+    }
+}
+
+/// Evaluate boundary callbacks for every owned flat on every boundary face.
+/// Each face fills its contiguous ghost column `ghosts[slot * n_flat..]`
+/// at the owned flats (one `fill_face` call per face).
 pub(crate) fn compute_ghosts(
     cp: &CompiledProblem,
     fields: &Fields,
@@ -54,22 +75,30 @@ pub(crate) fn compute_ghosts(
     ghosts: &mut [f64],
     work: &mut WorkCounters,
 ) {
-    let mesh = cp.mesh();
-    for (slot, bf) in cp.boundary.iter().enumerate() {
-        let face = &mesh.faces[bf.face];
-        for &flat in flats {
-            let value = bf.bc.ghost_value(&BoundaryQuery {
-                position: face.centroid,
-                normal: face.normal,
-                owner_cell: face.owner,
-                idx: &cp.idx_of_flat[flat],
-                time,
-                fields,
-            });
-            ghosts[slot * cp.n_flat + flat] = value;
-        }
+    for (bf, column) in cp.boundary.iter().zip(ghosts.chunks_exact_mut(cp.n_flat)) {
+        bf.bc
+            .fill_face(&face_query(cp, bf, flats, time, fields), column);
     }
     work.ghost_evals += (callback_face_count(cp) * flats.len()) as u64;
+}
+
+/// Run one ghost fill under a host `boundary_ghosts` `Phase` span; every
+/// explicit-path fill (seq, dist, par and the GPU pre-step) goes through
+/// here.
+pub(crate) fn traced_ghosts(rec: &mut Recorder, step: usize, fill: impl FnOnce(&mut WorkCounters)) {
+    let g0 = rec.now();
+    fill(&mut rec.work);
+    if rec.enabled() {
+        let dur = rec.now() - g0;
+        rec.span(
+            SpanKind::Phase,
+            "boundary_ghosts",
+            g0,
+            dur,
+            Track::Host,
+            vec![("step", step.to_string())],
+        );
+    }
 }
 
 /// Face-flux sum for one (cell, flat) pair: the hoisted-coefficient fast
@@ -477,18 +506,24 @@ pub(crate) fn step_scope(
     match cp.problem.stepper {
         TimeStepper::EulerExplicit => {
             t_comm += links.halo_exchange(fields);
-            compute_ghosts(cp, fields, scope.flats, time, ghosts, &mut rec.work);
+            traced_ghosts(rec, step, |work| {
+                compute_ghosts(cp, fields, scope.flats, time, ghosts, work)
+            });
             compute_rhs_traced(cp, fields, scope, ghosts, time, rhs, step, rec, kernels);
             axpy_scope(fields, unknown, scope, dt, rhs);
         }
         TimeStepper::Rk2 => {
             // Heun's method: u* = u + dt k1; u' = u + dt/2 (k1 + k2(u*)).
             t_comm += links.halo_exchange(fields);
-            compute_ghosts(cp, fields, scope.flats, time, ghosts, &mut rec.work);
+            traced_ghosts(rec, step, |work| {
+                compute_ghosts(cp, fields, scope.flats, time, ghosts, work)
+            });
             compute_rhs_traced(cp, fields, scope, ghosts, time, rhs, step, rec, kernels);
             axpy_scope(fields, unknown, scope, dt, rhs);
             t_comm += links.halo_exchange(fields);
-            compute_ghosts(cp, fields, scope.flats, time + dt, ghosts, &mut rec.work);
+            traced_ghosts(rec, step, |work| {
+                compute_ghosts(cp, fields, scope.flats, time + dt, ghosts, work)
+            });
             compute_rhs_traced(
                 cp,
                 fields,

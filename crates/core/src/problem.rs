@@ -152,6 +152,48 @@ pub struct BoundaryQuery<'a> {
 /// (Eq. 6: ghost = I⁰(T_wall) or the reflected direction's value).
 pub type BoundaryFn = Arc<dyn Fn(&BoundaryQuery) -> f64 + Send + Sync>;
 
+/// Everything a face-batched boundary callback may inspect: one boundary
+/// face and the set of flats whose ghosts it must produce.
+pub struct FaceQuery<'a> {
+    /// Face centroid.
+    pub position: Point,
+    /// Outward unit normal of the boundary face.
+    pub normal: Point,
+    /// Cell inside the domain.
+    pub owner_cell: usize,
+    /// Flats to fill (flattened values of the unknown's indices).
+    pub flats: &'a [usize],
+    /// Decoded index tuple of each flat, indexed by flat: the 0-based
+    /// values of the unknown's indices (declaration order).
+    pub idx_of_flat: &'a [Vec<usize>],
+    /// Simulation time.
+    pub time: f64,
+    /// Read access to all fields (e.g. to reflect the unknown).
+    pub fields: &'a crate::entities::Fields,
+}
+
+impl<'a> FaceQuery<'a> {
+    /// The per-flat [`BoundaryQuery`] of this face at `flat`.
+    #[inline]
+    pub fn at(&self, flat: usize) -> BoundaryQuery<'a> {
+        BoundaryQuery {
+            position: self.position,
+            normal: self.normal,
+            owner_cell: self.owner_cell,
+            idx: &self.idx_of_flat[flat],
+            time: self.time,
+            fields: self.fields,
+        }
+    }
+}
+
+/// A face-batched boundary callback: writes the ghost value of every flat
+/// in `q.flats` to `out[flat]`, where `out` is the face's `n_flat`-long
+/// ghost column, and leaves every other entry of `out` untouched. Work
+/// that depends only on the face (a wall temperature, a reflection) is
+/// done once per call instead of once per flat.
+pub type FaceFn = Arc<dyn Fn(&FaceQuery, &mut [f64]) + Send + Sync>;
+
 /// A boundary condition attached to one region.
 #[derive(Clone)]
 pub enum BoundaryCondition {
@@ -161,32 +203,79 @@ pub enum BoundaryCondition {
     /// `@callbackFunction` path). Opaque to the static analyzer, which
     /// conservatively assumes it reads every field.
     Callback(BoundaryFn),
-    /// A callback that declares which variables it reads through
-    /// `BoundaryQuery::fields`, letting [`crate::analysis`] reason about
-    /// it precisely instead of conservatively.
-    DeclaredCallback { reads: Vec<String>, f: BoundaryFn },
+    /// A face-batched callback (see [`FaceFn`]) that declares which
+    /// variables it reads through `FaceQuery::fields`, letting
+    /// [`crate::analysis`] reason about it precisely instead of
+    /// conservatively. Built by [`BoundaryCondition::face_callback_reading`],
+    /// or by [`BoundaryCondition::callback_reading`] around a per-flat
+    /// function.
+    FaceCallback { reads: Vec<String>, f: FaceFn },
 }
 
 impl BoundaryCondition {
-    /// A callback declaring its field reads by variable name (empty slice
-    /// = touches no fields, e.g. an isothermal wall).
+    /// A per-flat callback declaring its field reads by variable name
+    /// (empty slice = touches no fields). It becomes a face callback that
+    /// calls `f` once per flat, in `q.flats` order.
     pub fn callback_reading(
         reads: &[&str],
         f: impl Fn(&BoundaryQuery) -> f64 + Send + Sync + 'static,
     ) -> BoundaryCondition {
-        BoundaryCondition::DeclaredCallback {
+        BoundaryCondition::face_callback_reading(reads, move |q: &FaceQuery, out: &mut [f64]| {
+            for &flat in q.flats {
+                out[flat] = f(&q.at(flat));
+            }
+        })
+    }
+
+    /// A face-batched callback declaring its field reads by variable name
+    /// (empty slice = touches no fields, e.g. an isothermal wall).
+    pub fn face_callback_reading(
+        reads: &[&str],
+        f: impl Fn(&FaceQuery, &mut [f64]) + Send + Sync + 'static,
+    ) -> BoundaryCondition {
+        BoundaryCondition::FaceCallback {
             reads: reads.iter().map(|s| s.to_string()).collect(),
             f: Arc::new(f),
         }
     }
 
-    /// Ghost value for one face/flat query.
+    /// Ghost value for one face/flat query. A face callback runs on a
+    /// one-flat [`FaceQuery`] (which copies `q.idx`); the executors never
+    /// take this path, they fill whole faces with [`Self::fill_face`].
     #[inline]
     pub fn ghost_value(&self, q: &BoundaryQuery) -> f64 {
         match self {
             BoundaryCondition::Value(v) => *v,
             BoundaryCondition::Callback(f) => f(q),
-            BoundaryCondition::DeclaredCallback { f, .. } => f(q),
+            BoundaryCondition::FaceCallback { f, .. } => {
+                let idx_of_flat = [q.idx.to_vec()];
+                let mut out = [0.0];
+                let one = FaceQuery {
+                    position: q.position,
+                    normal: q.normal,
+                    owner_cell: q.owner_cell,
+                    flats: &[0],
+                    idx_of_flat: &idx_of_flat,
+                    time: q.time,
+                    fields: q.fields,
+                };
+                f(&one, &mut out);
+                out[0]
+            }
+        }
+    }
+
+    /// Fill one boundary face's ghost column: `out[flat]` for every flat
+    /// in `q.flats`, every other entry untouched. A face callback runs
+    /// once for the face; `Value` and `Callback` run once per flat.
+    pub fn fill_face(&self, q: &FaceQuery, out: &mut [f64]) {
+        match self {
+            BoundaryCondition::FaceCallback { f, .. } => f(q, out),
+            _ => {
+                for &flat in q.flats {
+                    out[flat] = self.ghost_value(&q.at(flat));
+                }
+            }
         }
     }
 
@@ -203,7 +292,7 @@ impl BoundaryCondition {
         match self {
             BoundaryCondition::Value(_) => Some(&[]),
             BoundaryCondition::Callback(_) => None,
-            BoundaryCondition::DeclaredCallback { reads, .. } => Some(reads),
+            BoundaryCondition::FaceCallback { reads, .. } => Some(reads),
         }
     }
 }
@@ -213,8 +302,8 @@ impl fmt::Debug for BoundaryCondition {
         match self {
             BoundaryCondition::Value(v) => write!(f, "Value({v})"),
             BoundaryCondition::Callback(_) => write!(f, "Callback(..)"),
-            BoundaryCondition::DeclaredCallback { reads, .. } => {
-                write!(f, "DeclaredCallback(reads {reads:?})")
+            BoundaryCondition::FaceCallback { reads, .. } => {
+                write!(f, "FaceCallback(reads {reads:?})")
             }
         }
     }
